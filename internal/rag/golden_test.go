@@ -54,6 +54,44 @@ func TestPipelineMatchesPreRefactorGoldens(t *testing.T) {
 	}
 }
 
+// goldenAdaptive pins RunAdaptive on the shared drift scenario
+// (driftOpts at 28 req/s: one popularity rotation at 45 s, a 100 ms
+// search SLO) as the dedicated adaptive pipeline produced it before the
+// single-node run paths merged into one composer. Rebuilds lists each
+// completed cycle's trigger and swap instants in virtual ns.
+var goldenAdaptive = struct {
+	attainment float64
+	ttftP90    int64
+	n          int
+	rebuilds   [][2]int64 // {TriggeredAt, SwappedAt}
+}{0.77727272727272723, 508780811, 6380, [][2]int64{{58477854470, 100092367202}}}
+
+func TestAdaptiveMatchesGolden(t *testing.T) {
+	res, err := RunAdaptive(driftOpts(t, 28))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenAdaptive
+	s := res.Summary
+	if s.Attainment != want.attainment {
+		t.Errorf("attainment %.17g, golden %.17g", s.Attainment, want.attainment)
+	}
+	if int64(s.TTFT.P90) != want.ttftP90 {
+		t.Errorf("TTFT p90 %d, golden %d", int64(s.TTFT.P90), want.ttftP90)
+	}
+	if s.N != want.n {
+		t.Errorf("N=%d, golden %d", s.N, want.n)
+	}
+	if len(res.Rebuilds) != len(want.rebuilds) {
+		t.Fatalf("%d rebuilds, golden %d: %+v", len(res.Rebuilds), len(want.rebuilds), res.Rebuilds)
+	}
+	for i, rb := range res.Rebuilds {
+		if got := [2]int64{int64(rb.TriggeredAt), int64(rb.SwappedAt)}; got != want.rebuilds[i] {
+			t.Errorf("rebuild %d trigger/swap %v, golden %v", i, got, want.rebuilds[i])
+		}
+	}
+}
+
 func TestAllKindsSupersetOfKinds(t *testing.T) {
 	all := map[Kind]bool{}
 	for _, k := range AllKinds() {
