@@ -50,9 +50,13 @@ func setup(t *testing.T, cfg Config) *fixture {
 		t.Fatal(err)
 	}
 	var sim des.Sim
-	eng := retrieval.NewHybrid(retrieval.Config{
-		Sim: &sim, W: w, CPUModel: cpuModel, Forward: func(*workload.Request) {},
-	}, plan, gpu.NewStates(node), costmodel.GPUScanModel{GPU: node.GPU})
+	eng, err := retrieval.NewHybrid(retrieval.Config{
+		Sim: &sim, Forward: func(*workload.Request) {},
+	}, []retrieval.TenantSlot{{W: w, Plan: plan, CPUModel: cpuModel}},
+		gpu.NewStates(node), costmodel.GPUScanModel{GPU: node.GPU})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if cfg.Monitor.WindowRequests == 0 {
 		cfg.Monitor = update.MonitorConfig{WindowRequests: 50, SLOThreshold: 0.9, HitRateDivergence: 0.1}

@@ -173,33 +173,38 @@ func stageBuilders(sim *des.Sim, opts Options, d *decision, cpuModel costmodel.S
 	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
 	llmStates := states
 
-	var makeEngine func(cfg retrieval.Config) retrieval.Engine
+	var makeEngine func(cfg retrieval.Config) (retrieval.Engine, error)
 	switch opts.Kind {
 	case CPUOnly:
-		makeEngine = func(cfg retrieval.Config) retrieval.Engine { return retrieval.NewCPUOnly(cfg) }
+		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) { return retrieval.NewCPUOnly(cfg), nil }
 	case AllGPU:
 		applyShards(states, d.plan)
-		makeEngine = func(cfg retrieval.Config) retrieval.Engine {
-			return retrieval.NewAllGPU(cfg, d.plan, states, gm)
+		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
+			return retrieval.NewAllGPU(cfg, d.plan, states, gm), nil
 		}
 	case DedGPU:
 		dedStates := states[opts.Node.NumGPUs-d.nDed:]
 		llmStates = states[:opts.Node.NumGPUs-d.nDed]
 		applyShards(dedStates, d.plan)
-		makeEngine = func(cfg retrieval.Config) retrieval.Engine {
-			return retrieval.NewDedGPU(cfg, d.plan, dedStates, gm)
+		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
+			return retrieval.NewDedGPU(cfg, d.plan, dedStates, gm), nil
 		}
 	case VLiteRAG:
 		applyShards(states, d.plan)
-		makeEngine = func(cfg retrieval.Config) retrieval.Engine {
-			h := retrieval.NewHybrid(cfg, d.plan, states, gm)
+		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
+			h, err := retrieval.NewHybrid(cfg, []retrieval.TenantSlot{
+				{W: cfg.W, Plan: d.plan, CPUModel: cfg.CPUModel, Live: cfg.Live},
+			}, states, gm)
+			if err != nil {
+				return nil, err
+			}
 			h.Dispatcher = !opts.DisableDispatcher
-			return h
+			return h, nil
 		}
 	case HedraRAG:
 		applyShards(states, d.plan)
-		makeEngine = func(cfg retrieval.Config) retrieval.Engine {
-			return retrieval.NewHedra(cfg, d.plan, states, gm)
+		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
+			return retrieval.NewHedra(cfg, d.plan, states, gm), nil
 		}
 	}
 
@@ -212,7 +217,7 @@ func stageBuilders(sim *des.Sim, opts Options, d *decision, cpuModel costmodel.S
 			Live:     live,
 			MaxBatch: opts.MaxBatch,
 			NVMe:     opts.Node.NVMe,
-		}), nil
+		})
 	})
 	gen = serve.GenerationStage(func() (*llm.Cluster, error) {
 		return llm.NewCluster(sim, opts.Node, opts.Model, llmStates, llm.DefaultEngineConfig())
@@ -283,96 +288,15 @@ func installDrift(sim *des.Sim, opts Options) (restore func()) {
 
 // Run executes one evaluation point: it makes the system's resource
 // decision, composes the serving pipeline (admission → retrieval →
-// generation → collector), and drives Poisson arrivals through it in
+// generation → collector, with the bounded scheduler ahead of retrieval
+// when Overload is set), and drives Poisson arrivals through it in
 // virtual time.
 func Run(opts Options) (*Result, error) {
-	if opts.resilient() {
-		return nil, fmt.Errorf("rag: fault injection and resilience need replicas to fail over to — use RunCluster")
-	}
-	sloTotal, err := opts.normalize()
+	run, err := runNode(nodeSpec{Options: opts})
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profileFor(opts)
-	if err != nil {
-		return nil, err
-	}
-	cpuModel := costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec)
-	d, err := decide(opts, prof, cpuModel)
-	if err != nil {
-		return nil, err
-	}
-
-	var sim des.Sim
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	retr, gen := stageBuilders(&sim, opts, d, cpuModel, nil)
-
-	// Overload control, when configured, meters the pipeline through a
-	// single-class FairScheduler: bounded admission ahead of retrieval,
-	// the brownout controller stamping dispatches and observing
-	// completions. Nil leaves the classic scheduler-free composition.
-	var rig *overloadRig
-	var sched *serve.FairScheduler
-	if opts.Overload != nil {
-		sched, err = serve.NewFairScheduler([]serve.TenantClass{{Weight: 1, Priority: 0}}, 32)
-		if err != nil {
-			return nil, err
-		}
-		budgets, bias := opts.overloadBudget()
-		rig, err = rigOverload(&sim, opts.Overload, sched, budgets, bias,
-			rejectSink(coll.Abandon, pool.Release))
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Terminal sink: finalize the collector record (and feed the
-	// brownout monitor), then recycle the request — the pool release
-	// must come last.
-	terminal := teeObserve(rig, coll.Done, pool.Release)
-	builders := []serve.Builder{serve.Admit(coll)}
-	if sched != nil {
-		builders = append(builders, serve.Scheduled(sched))
-	}
-	builders = append(builders, retr, gen)
-	pipe, err := serve.Compose(&sim, terminal, builders...)
-	if err != nil {
-		return nil, err
-	}
-	if sched != nil {
-		// Meter the TTFT section as the multi-tenant path does: the slot
-		// frees at first token, completion re-installs the terminal sink.
-		pipe.Generation().Cluster.SetCallbacks(sched.Release, terminal)
-	}
-	defer installDrift(&sim, opts)()
-	arr := arrivalsFor(opts)
-	arr.SetPool(pool)
-	sec := beginServeSection()
-	pipe.Run(arr, opts.Duration, opts.Drain)
-	wall, allocs, bytes := sec.end()
-
-	res := &Result{
-		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: sloTotal,
-		ServeWall: wall, ServeAllocs: allocs, ServeBytes: bytes,
-		Rho: d.rho, PlanBytes: d.planBytes, Mu0: d.mu0, Partition: d.partition,
-		Requests:  coll.Requests(),
-		Generated: coll.Admitted(),
-		AvgBatch:  pipe.Retrieval().AvgBatch(),
-		LLMGPUs:   pipe.Generation().GPUs(opts.Model.TP),
-		Summary:   coll.Summarize(sloTotal, des.Time(opts.Warmup)),
-	}
-	if d.plan != nil && d.plan.Prec != nil {
-		res.SQClusters = d.plan.Prec.SQClusters
-		res.NVMeClusters = d.plan.Prec.NVMeClusters
-		if rr, ok := pipe.Retrieval().Engine.(retrieval.RecallReporter); ok {
-			res.RecallGain = rr.RecallGain()
-		}
-	}
-	if rig != nil {
-		res.Overload = rig.report(opts.Overload, 1,
-			des.Time(opts.Duration+opts.Drain), opts.Duration+opts.Drain)
-	}
-	return res, nil
+	return &run.Result, nil
 }
 
 // ReplicaResult reports one replica's share of a cluster run.

@@ -141,3 +141,22 @@ func TestRunLiveValidation(t *testing.T) {
 		t.Fatal("invalid mutation schedule accepted")
 	}
 }
+
+// TestRunLiveCompactionWithoutStreams: Compaction attaches the adapt
+// controller even when no mutation stream is active, so a drift trace
+// still triggers an update cycle instead of the controller being
+// silently dropped.
+func TestRunLiveCompactionWithoutStreams(t *testing.T) {
+	opts := LiveOptions{Options: driftOpts(t, 28).Options}
+	opts.Ingest.Compaction = true
+	res, err := RunLive(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rebuilds) == 0 {
+		t.Fatal("compaction with zero-rate streams ran no update cycle under drift")
+	}
+	if len(res.Mutations) != 0 {
+		t.Fatalf("zero-rate streams applied %d mutations", len(res.Mutations))
+	}
+}

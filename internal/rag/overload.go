@@ -124,13 +124,16 @@ func (r *overloadRig) observe() serve.Sink {
 	return r.ctrl.Observe
 }
 
-// teeObserve splices the rig's observer between record finalization and
-// the sink that gives the request away.
-func teeObserve(rig *overloadRig, record serve.Sink, release serve.Sink) serve.Sink {
+// teeObserve builds a terminal sink: finalize the record, let the rig's
+// observer and then any further observers see the completed request,
+// and only then hand it to the sink that gives it away.
+func teeObserve(rig *overloadRig, record, release serve.Sink, observers ...serve.Sink) serve.Sink {
+	sinks := []serve.Sink{record}
 	if obs := rig.observe(); obs != nil {
-		return serve.Tee(record, obs, release)
+		sinks = append(sinks, obs)
 	}
-	return serve.Tee(record, release)
+	sinks = append(sinks, observers...)
+	return serve.Tee(append(sinks, release)...)
 }
 
 // report assembles the rig's outcome. end is the virtual clock at run

@@ -45,7 +45,7 @@ func TestOverloadOptionsNormalize(t *testing.T) {
 
 // TestOverloadIncompatibleModes: every serving mode that cannot honor
 // overload control must say so up front instead of silently ignoring
-// the option.
+// the option; live ingest, which can, must run it.
 func TestOverloadIncompatibleModes(t *testing.T) {
 	ov := &OverloadOptions{QueueCap: 16}
 
@@ -68,11 +68,24 @@ func TestOverloadIncompatibleModes(t *testing.T) {
 		t.Fatalf("cluster+Overload: %v", err)
 	}
 
+	// Compaction attaches the same adapt controller, so it is refused
+	// alongside overload control for the same reason.
 	lo := LiveOptions{Options: baseOpts(t, VLiteRAG, 10)}
 	lo.Overload = ov
 	lo.Ingest.InsertRate = 4
+	lo.Ingest.Compaction = true
 	if _, err := RunLive(lo); err == nil || !strings.Contains(err.Error(), "overload") {
+		t.Fatalf("live-compaction+Overload: %v", err)
+	}
+
+	// Live ingest without the controller composes with overload control.
+	lo.Ingest.Compaction = false
+	res, err := RunLive(lo)
+	if err != nil {
 		t.Fatalf("live-ingest+Overload: %v", err)
+	}
+	if res.Overload == nil {
+		t.Fatal("live-ingest+Overload returned no overload report")
 	}
 }
 

@@ -104,10 +104,11 @@ type Options struct {
 	// optionally the brownout controller) in front of the pipeline: the
 	// single-tenant form of the multi-tenant overload control, with one
 	// queue, full tier bias, and the run's own stage SLOs as budgets.
-	// Nil keeps the unmetered pipeline byte for byte. Supported on
-	// single-node Run only — cluster runs route through the resilient
-	// front end, whose degradation machinery overload control would
-	// fight.
+	// Nil keeps the unmetered pipeline byte for byte. Supported on the
+	// single-node Run and RunLive — cluster runs route through the
+	// resilient front end, whose degradation machinery overload control
+	// would fight, and the adapt controller (RunAdaptive, Compaction)
+	// would fight it over the same latency signal.
 	Overload *OverloadOptions
 
 	// Workers selects how many worker goroutines a *sharded* cluster run

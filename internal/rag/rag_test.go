@@ -67,19 +67,85 @@ func TestAllSystemsServeTraffic(t *testing.T) {
 	}
 }
 
+// TestTimestampOrderingInvariant checks the request invariants on every
+// single-node preset: lifecycle order on each served record, and
+// conservation — one record per arrival, each either served, rejected
+// at admission, or still unserved when the clock stopped.
 func TestTimestampOrderingInvariant(t *testing.T) {
-	res, err := Run(baseOpts(t, VLiteRAG, 15))
-	if err != nil {
-		t.Fatal(err)
+	overload := &OverloadOptions{QueueCap: 16, Brownout: true}
+	cases := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"plain", func() (*Result, error) { return Run(baseOpts(t, VLiteRAG, 15)) }},
+		{"overload+brownout", func() (*Result, error) {
+			o := baseOpts(t, VLiteRAG, 40)
+			o.Overload = overload
+			return Run(o)
+		}},
+		{"adaptive+drift", func() (*Result, error) {
+			r, err := RunAdaptive(driftOpts(t, 28))
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		}},
+		{"live+compaction", func() (*Result, error) {
+			o := liveOpts(t, 12)
+			o.Ingest.Compaction = true
+			o.Drift = driftOpts(t, 12).Drift
+			r, err := RunLive(o)
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		}},
+		{"live+overload", func() (*Result, error) {
+			o := liveOpts(t, 40)
+			o.Overload = overload
+			r, err := RunLive(o)
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		}},
 	}
-	for _, r := range res.Requests {
-		if r.FirstToken == 0 {
-			continue
-		}
-		if !(r.ArrivalAt <= r.SearchStart && r.SearchStart < r.SearchDone &&
-			r.SearchDone <= r.LLMStart && r.LLMStart < r.FirstToken && r.FirstToken < r.Done) {
-			t.Fatalf("timestamp ordering violated: %+v", r)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Requests) != res.Generated {
+				t.Fatalf("conservation: %d records for %d arrivals", len(res.Requests), res.Generated)
+			}
+			served, notStarted := 0, 0
+			for _, r := range res.Requests {
+				if r.FirstToken == 0 {
+					if r.SearchStart == 0 {
+						notStarted++
+					}
+					continue
+				}
+				served++
+				if !(r.ArrivalAt <= r.SearchStart && r.SearchStart < r.SearchDone &&
+					r.SearchDone <= r.LLMStart && r.LLMStart < r.FirstToken && r.FirstToken < r.Done) {
+					t.Fatalf("timestamp ordering violated: %+v", r)
+				}
+			}
+			rejected := 0
+			if res.Overload != nil {
+				rejected = res.Overload.RejectedTotal
+			}
+			// A rejected request never reaches retrieval, so the
+			// rejections must fit among the records that never started.
+			unserved := res.Generated - served - rejected
+			if unserved < 0 || rejected > notStarted {
+				t.Fatalf("conservation: %d arrivals, %d served, %d rejected, %d never started",
+					res.Generated, served, rejected, notStarted)
+			}
+			t.Logf("%d arrivals: %d served, %d rejected, %d unserved", res.Generated, served, rejected, unserved)
+		})
 	}
 }
 

@@ -218,7 +218,7 @@ func runMultiTenantSharded(opts MultiTenantOptions) (*MultiTenantResult, error) 
 		}
 		sim := x.ReplicaSim(r)
 		retr := serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
-			return retrieval.NewMultiTenant(retrieval.Config{
+			return retrieval.NewHybrid(retrieval.Config{
 				Sim:      sim,
 				Forward:  forward,
 				MaxBatch: opts.MaxBatch,

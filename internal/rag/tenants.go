@@ -460,7 +460,7 @@ func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
 	retr := serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
 		// The shared config carries no Workload or CPUModel: the engine
 		// prices every stage per tenant slot.
-		return retrieval.NewMultiTenant(retrieval.Config{
+		return retrieval.NewHybrid(retrieval.Config{
 			Sim:      &sim,
 			Forward:  forward,
 			MaxBatch: opts.MaxBatch,

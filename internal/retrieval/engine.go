@@ -12,7 +12,10 @@
 //	            coarse quantization, mapping-table routing with probe
 //	            pruning, GPU shards for hot clusters, CPU scan for cold
 //	            misses, and a dynamic dispatcher that promotes
-//	            early-finishing queries.
+//	            early-finishing queries. It serves 1..N tenant slots:
+//	            a single-node run is the one-slot case, a multi-tenant
+//	            node one slot per tenant. It is also the only engine
+//	            with the §IV-B3 hot-swap hooks.
 //	Hedra     — HedraRAG's runtime: hot-cluster caching chosen by
 //	            throughput balancing, IndexIVFShards-style unpruned
 //	            probing, no dispatcher.
@@ -53,8 +56,8 @@ type Engine interface {
 // (§IV-B3): an engine whose split plan can be replaced while serving.
 // While a shard is marked refreshing its clusters divert to the CPU
 // path, and SetPlan atomically installs the freshly built plan once its
-// shards have loaded. Of the five engines only the hybrid (vLiteRAG)
-// runtime supports it.
+// shards have loaded. Of the five engines only Hybrid (vLiteRAG)
+// supports it.
 type HotSwapper interface {
 	Engine
 	Plan() *splitter.Plan

@@ -1,108 +1,188 @@
 package retrieval
 
 import (
+	"fmt"
+
 	"vectorliterag/internal/costmodel"
+	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/workload"
 )
 
-// Hybrid is VectorLiteRAG's distributed retrieval pipeline (§IV-B).
+// TenantSlot is one tenant's runtime state inside the vLiteRAG engine:
+// its corpus, its split plan (the slice of GPU memory the joint
+// allocator granted it), and the CPU cost model fitted to its corpus
+// geometry. A single-node run has exactly one slot.
+type TenantSlot struct {
+	W        *dataset.Workload
+	Plan     *splitter.Plan
+	CPUModel costmodel.SearchModel
+	// Live, when set, overlays this tenant's streaming-ingest scan costs
+	// on W's frozen tables; nil means the tenant's corpus is frozen.
+	// Per-slot because each tenant mutates (or doesn't) independently.
+	Live LiveCost
+	// Priority orders the shared CPU cold scan within a batch (lower
+	// scans first): the CPU serializes miss work, and the §IV-B2
+	// callback mechanism completes each query at its prefix, so putting
+	// a gold query's misses ahead of a bronze burst's is the engine-
+	// level half of tier-aware preemption ordering. Ties keep batch
+	// (arrival) order.
+	Priority int
+	// blockScale converts one physical probed cluster into its logical
+	// thread-block count (NProbe/PhysNProbe), per tenant because the
+	// probe geometry is a corpus property.
+	blockScale int
+}
+
+// scanBytes prices a scan over clusters through the tenant's live
+// overlay when one is installed.
+func (s *TenantSlot) scanBytes(q dataset.QueryID, clusters []int) int64 {
+	if s.Live != nil {
+		return s.Live.ScanBytes(q, clusters)
+	}
+	return s.W.ScanBytes(q, clusters)
+}
+
+// scanBytesFull is scanBytes over the query's full probe set.
+func (s *TenantSlot) scanBytesFull(q dataset.QueryID) int64 {
+	if s.Live != nil {
+		return s.Live.ScanBytesAll(q)
+	}
+	return s.W.ScanBytesAll(q)
+}
+
+// Hybrid is VectorLiteRAG's distributed retrieval pipeline (§IV-B),
+// serving one or more tenant slots on one node. A single-node run is
+// the one-slot case; a multi-tenant node gives each tenant its own
+// slot.
 //
 // Per batch: coarse quantization runs on the CPU; the router consults
-// the mapping tables to split each query's probes into per-shard
-// resident sets (pruned — only blocks for resident clusters launch)
-// and a CPU remainder; GPU shard kernels and the CPU cold scan run
-// concurrently; the dynamic dispatcher promotes a query the moment its
-// own clusters are fully scanned instead of waiting for the batch.
+// each query's own slot's mapping tables to split its probes into
+// per-shard resident sets (pruned — only blocks for resident clusters
+// launch) and a CPU remainder; one GPU shard kernel per GPU covers
+// every slot's resident clusters there, concurrently with the CPU cold
+// scan; and the dynamic dispatcher promotes a query the moment its own
+// clusters are fully scanned instead of waiting for the batch.
+//
+// The CPU and GPUs are one physical resource, so one tenant's burst
+// inflates every tenant's batch — exactly the interference the
+// FairScheduler's admission metering bounds. Coarse quantization and
+// the cold scan serialize on the CPU, so the batch pays the sum of the
+// per-slot sub-batch costs, each priced with its slot's cost model.
 type Hybrid struct {
 	batcher
-	plan     *splitter.Plan
-	gpus     []*gpu.State // gpus[g] hosts plan.Shards[g]
+	slots    []TenantSlot
+	gpus     []*gpu.State // gpus[g] hosts shard g of every slot's plan
 	gpuModel costmodel.GPUScanModel
-	// blockScale converts one physical probed cluster into its logical
-	// thread-block count (NProbe/PhysNProbe — the two-scale probe
-	// normalization, see dataset.Workload).
-	blockScale int
 	// Dispatcher toggles early query promotion (the Fig. 14 ablation).
 	Dispatcher bool
-	// refreshing[g] marks shard g as mid-reload: its clusters are
-	// temporarily served by the CPU path (§IV-B3 service continuity).
+	// refreshing[g] marks GPU g's shard as mid-reload: every slot's
+	// clusters there are served by the CPU path (§IV-B3 service
+	// continuity).
 	refreshing []bool
-	// Per-batch routing work areas, reused across batches: every value
-	// is rewritten before use and consumed before runBatch returns (the
+
+	// Per-batch work areas, reused across batches: every value is
+	// rewritten before use and consumed before runBatch returns (the
 	// completion closures capture only scalars), so reuse cannot leak
 	// state between batches.
-	shardBytes  []int64
-	shardBlocks []int
-	cpuWork     []int64
-	cpuDone     []des.Time
-	route       splitter.RouteScratch
-	// sqBytes/sqBlocks are the per-shard SQ8 kernel work areas, used
-	// only when the plan carries a precision refinement.
+	shardBytes   []int64
+	shardBlocks  []int
+	cpuWork      []int64
+	cpuDone      []des.Time
+	perTenant    []int   // batch members per slot
+	missByTenant []int64 // CPU miss bytes per slot
+	scanOrder    []int   // batch indices in CPU scan order
+	route        splitter.RouteScratch
+	// sqBytes/sqBlocks are the per-GPU SQ8 kernel work areas, used only
+	// when at least one slot's plan carries a precision refinement.
 	sqBytes  []int64
 	sqBlocks []int
-	// recallSum/recallN accumulate the served recall gain of
-	// SQ-upgraded clusters (work-weighted per query, see RecallGain).
+	// recallSum/recallN accumulate the served recall gain of SQ-upgraded
+	// clusters across all slots (work-weighted per query, see
+	// RecallGain).
 	recallSum float64
 	recallN   int
 }
 
-// NewHybrid wires the hybrid engine. The i-th shard of the plan must
-// reside on gpus[i].
-func NewHybrid(cfg Config, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
+// NewHybrid wires the engine. Every slot's plan must have one shard per
+// GPU in gpus; slot order defines tenant IDs (a request's Tenant field
+// indexes slots). The engine prices work per slot, so cfg's W,
+// CPUModel and Live are unused.
+func NewHybrid(cfg Config, slots []TenantSlot, gpus []*gpu.State, gm costmodel.GPUScanModel) (*Hybrid, error) {
+	if len(slots) == 0 {
+		return nil, fmt.Errorf("retrieval: vLiteRAG engine needs at least one tenant slot")
+	}
+	for i := range slots {
+		if slots[i].W == nil || slots[i].Plan == nil {
+			return nil, fmt.Errorf("retrieval: tenant slot %d missing workload or plan", i)
+		}
+		if slots[i].Plan.NumShards != len(gpus) {
+			return nil, fmt.Errorf("retrieval: tenant slot %d has %d shards for %d GPUs",
+				i, slots[i].Plan.NumShards, len(gpus))
+		}
+		slots[i].blockScale = slots[i].W.Spec.NProbe / slots[i].W.Gen.PhysNProbe
+	}
 	e := &Hybrid{
 		batcher:    batcher{cfg: cfg},
-		plan:       plan,
+		slots:      append([]TenantSlot(nil), slots...),
 		gpus:       gpus,
 		gpuModel:   gm,
-		blockScale: cfg.W.Spec.NProbe / cfg.W.Gen.PhysNProbe,
 		Dispatcher: true,
-		refreshing: make([]bool, plan.NumShards),
+		refreshing: make([]bool, len(gpus)),
 	}
 	e.init(e.runBatch)
-	return e
+	return e, nil
 }
 
 // Name implements Engine.
-func (e *Hybrid) Name() string { return "vLiteRAG" }
+func (e *Hybrid) Name() string {
+	if len(e.slots) == 1 {
+		return "vLiteRAG"
+	}
+	return fmt.Sprintf("vLiteRAG(%d tenants)", len(e.slots))
+}
 
-// Plan returns the currently serving split plan.
-func (e *Hybrid) Plan() *splitter.Plan { return e.plan }
+// Plan returns slot 0's serving split plan. The hot-swap hooks act on
+// slot 0, the only slot of a single-node run.
+func (e *Hybrid) Plan() *splitter.Plan { return e.slots[0].Plan }
 
-// SetPlan atomically switches to a freshly built plan (the final step
-// of an adaptive index update). Refresh flags reset, and the GPU
-// states' resident-shard accounting follows the new plan. KV pools are
-// sized at LLM-instance construction, so a swap assumes the new plan
-// fits the same memory envelope — which Algorithm 1 guarantees by
+// SetPlan atomically switches slot 0 to a freshly built plan (the final
+// step of an adaptive index update). Refresh flags reset, and each
+// GPU's resident-shard accounting follows the slots' plans. KV pools
+// are sized at LLM-instance construction, so a swap assumes the new
+// plan fits the same memory envelope — which Algorithm 1 guarantees by
 // construction (it partitions against the same MemKV bound).
 func (e *Hybrid) SetPlan(plan *splitter.Plan) {
-	e.plan = plan
-	e.refreshing = make([]bool, plan.NumShards)
-	for g := range plan.ShardBytes {
-		if g < len(e.gpus) {
-			e.gpus[g].ShardBytes = plan.ShardBytes[g]
+	e.slots[0].Plan = plan
+	clear(e.refreshing)
+	for g, st := range e.gpus {
+		var b int64
+		for i := range e.slots {
+			b += e.slots[i].Plan.ShardBytes[g]
 		}
+		st.ShardBytes = b
 	}
 }
 
-// SetShardRefreshing marks shard g as being reloaded; while set, its
-// clusters are served from the CPU path so service never pauses.
+// SetShardRefreshing marks GPU g's shard as being reloaded; while set,
+// every slot's clusters there are served from the CPU path so service
+// never pauses.
 func (e *Hybrid) SetShardRefreshing(g int, on bool) {
 	if g >= 0 && g < len(e.refreshing) {
 		e.refreshing[g] = on
 	}
 }
 
-// ShardRefreshing reports whether shard g is mid-reload.
+// ShardRefreshing reports whether GPU g's shard is mid-reload.
 func (e *Hybrid) ShardRefreshing(g int) bool {
 	return g >= 0 && g < len(e.refreshing) && e.refreshing[g]
 }
 
 // RecallGain implements RecallReporter: the mean per-query modeled
-// recall gain from SQ8-upgraded clusters, zero on plans without a
-// precision refinement.
+// recall gain from SQ8-upgraded clusters across all slots, zero when
+// no slot's plan carries a precision refinement.
 func (e *Hybrid) RecallGain() float64 {
 	if e.recallN == 0 {
 		return 0
@@ -110,34 +190,68 @@ func (e *Hybrid) RecallGain() float64 {
 	return e.recallSum / float64(e.recallN)
 }
 
+// hasPrecision reports whether any slot's plan carries a precision
+// refinement (decides whether runBatch walks the per-cluster path).
+func (e *Hybrid) hasPrecision() bool {
+	for i := range e.slots {
+		if e.slots[i].Plan.Prec != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// slot resolves a request's tenant, clamping strays to slot 0 the same
+// way the FairScheduler does.
+func (e *Hybrid) slot(req *workload.Request) int {
+	if req.Tenant < 0 || req.Tenant >= len(e.slots) {
+		return 0
+	}
+	return req.Tenant
+}
+
 func (e *Hybrid) runBatch(batch []*workload.Request) {
 	sim := e.cfg.Sim
-	w := e.cfg.W
 	b := len(batch)
-	cq := e.cfg.CPUModel.CQTime(b)
-	tCQ := sim.Now() + e.slowAt(des.Time(cq))
 
-	// Route every query through the mapping tables. A precision-refined
-	// plan splits resident clusters by codec — PQ clusters feed the LUT
-	// kernel, SQ8 clusters the streaming kernel (pq.ScanSQ's modeled
-	// counterpart) — and tallies the NVMe-resident share of the CPU
-	// remainder; a nil refinement keeps the classic single-codec path
-	// byte for byte.
-	prec := e.plan.Prec
-	shardBytes := resize(&e.shardBytes, e.plan.NumShards)
-	shardBlocks := resize(&e.shardBlocks, e.plan.NumShards)
+	// Coarse quantization serializes on the shared CPU: each tenant's
+	// sub-batch is priced with its own model and the batch pays the sum.
+	perTenant := resize(&e.perTenant, len(e.slots))
+	for _, req := range batch {
+		perTenant[e.slot(req)]++
+	}
+	var cq des.Time
+	for t, n := range perTenant {
+		if n > 0 {
+			cq += des.Time(e.slots[t].CPUModel.CQTime(n))
+		}
+	}
+	tCQ := sim.Now() + e.slowAt(cq)
+
+	// Route every query through its tenant's mapping tables. Shard g of
+	// every tenant's plan lives on GPU g, so per-GPU work accumulates
+	// across tenants. A precision-refined plan splits resident clusters
+	// by codec — PQ clusters feed the LUT kernel, SQ8 clusters the
+	// streaming kernel (pq.ScanSQ's modeled counterpart) — and bills its
+	// NVMe-demoted cold clusters to the shared page-read fetch; a nil
+	// refinement keeps the classic single-codec path.
+	anyPrec := e.hasPrecision()
+	shardBytes := resize(&e.shardBytes, len(e.gpus))
+	shardBlocks := resize(&e.shardBlocks, len(e.gpus))
 	cpuWork := resize(&e.cpuWork, b)
+	missByTenant := resize(&e.missByTenant, len(e.slots))
 	var sqBytes []int64
 	var sqBlocks []int
 	var nvmeBytes int64
 	var nvmeClusters int
-	if prec != nil {
-		sqBytes = resize(&e.sqBytes, e.plan.NumShards)
-		sqBlocks = resize(&e.sqBlocks, e.plan.NumShards)
+	if anyPrec {
+		sqBytes = resize(&e.sqBytes, len(e.gpus))
+		sqBlocks = resize(&e.sqBlocks, len(e.gpus))
 	}
-	var missTotal int64
 	for i, req := range batch {
-		perShard, cpuClusters := e.plan.RouteInto(&e.route, degradeProbes(w.Probes(req.Query), req.Degrade))
+		s := &e.slots[e.slot(req)]
+		prec := s.Plan.Prec
+		perShard, cpuClusters := s.Plan.RouteInto(&e.route, degradeProbes(s.W.Probes(req.Query), req.Degrade))
 		var gain float64
 		for g, resident := range perShard {
 			if len(resident) == 0 {
@@ -149,36 +263,36 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 				continue
 			}
 			if prec == nil {
-				shardBytes[g] += e.cfg.scanBytes(req.Query, resident)
-				shardBlocks[g] += len(resident) * e.blockScale
+				shardBytes[g] += s.scanBytes(req.Query, resident)
+				shardBlocks[g] += len(resident) * s.blockScale
 				continue
 			}
 			for j, c := range resident {
-				bb := e.cfg.scanBytes(req.Query, resident[j:j+1])
-				// Brownout precision fallback: a ForcePQ request scans
-				// SQ8-upgraded clusters through the base PQ codec —
-				// cheaper bytes, no recall gain.
+				bb := s.scanBytes(req.Query, resident[j:j+1])
+				// A brownout-stamped ForcePQ request scans SQ8-upgraded
+				// clusters through their base PQ codec: cheaper bytes, no
+				// recall gain — the ladder's precision-fallback rung.
 				if prec.IsSQ(c) && !req.ForcePQ {
 					sqBytes[g] += int64(float64(bb) * prec.SQRatio)
-					sqBlocks[g] += e.blockScale
+					sqBlocks[g] += s.blockScale
 					gain += float64(bb) * prec.Delta(c)
 				} else {
 					shardBytes[g] += bb
-					shardBlocks[g] += e.blockScale
+					shardBlocks[g] += s.blockScale
 				}
 			}
 		}
 		if prec != nil {
 			for j, c := range cpuClusters {
 				if prec.IsNVMe(c) {
-					nvmeBytes += e.cfg.scanBytes(req.Query, cpuClusters[j:j+1])
+					nvmeBytes += s.scanBytes(req.Query, cpuClusters[j:j+1])
 					nvmeClusters++
 				}
 			}
 		}
-		cpuWork[i] = e.cfg.scanBytes(req.Query, cpuClusters)
-		missTotal += cpuWork[i]
-		full := e.cfg.scanBytesFull(req.Query)
+		cpuWork[i] = s.scanBytes(req.Query, cpuClusters)
+		missByTenant[e.slot(req)] += cpuWork[i]
+		full := s.scanBytesFull(req.Query)
 		req.HitRate = servedHitRate(full, cpuWork[i])
 		if prec != nil {
 			if full > 0 {
@@ -188,16 +302,16 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		}
 	}
 
-	// GPU shard kernels start once CQ delivers the cluster lists; a
-	// shard with both codecs launches the LUT kernel and the SQ8
-	// streaming kernel back to back.
+	// GPU shard kernels start once CQ delivers the cluster lists; one
+	// kernel per GPU covers every tenant's resident clusters there, with
+	// a second SQ8 streaming kernel when upgraded clusters landed on it.
 	gpuReady := tCQ
 	for g := range shardBytes {
 		var t des.Time
 		if shardBytes[g] != 0 || shardBlocks[g] != 0 {
 			t += des.Time(e.gpuModel.ShardScanTime(shardBytes[g], shardBlocks[g]))
 		}
-		if prec != nil && (sqBytes[g] != 0 || sqBlocks[g] != 0) {
+		if anyPrec && (sqBytes[g] != 0 || sqBlocks[g] != 0) {
 			t += des.Time(e.gpuModel.ShardScanTimeSQ(sqBytes[g], sqBlocks[g]))
 		}
 		if t == 0 {
@@ -210,19 +324,46 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		}
 	}
 
-	// CPU cold scan: clusters are processed grouped by query, in batch
-	// order, so query i's CPU portion completes at the prefix of its
-	// miss work (§IV-B2 callback mechanism).
-	cpuTotal := e.slowAt(des.Time(e.cfg.CPUModel.LUTTime(missTotal, b)))
-	if prec != nil && nvmeClusters > 0 {
-		// SSD-resident cold clusters are fetched into DRAM before the
-		// fast-scan kernel reaches them; the fetch extends the batch
-		// total and is attributed byte-proportionally like the scan.
+	// CPU cold scan: per-tenant miss work priced with the owning
+	// tenant's model, summed (the CPU serializes); query i's CPU portion
+	// completes at the byte-proportional prefix of the miss work in scan
+	// order (§IV-B2 callback mechanism).
+	var missTotal int64
+	var cpuTotal des.Time
+	for t, miss := range missByTenant {
+		if miss > 0 {
+			cpuTotal += des.Time(e.slots[t].CPUModel.LUTTime(miss, perTenant[t]))
+			missTotal += miss
+		}
+	}
+	cpuTotal = e.slowAt(cpuTotal)
+	if anyPrec && nvmeClusters > 0 {
+		// NVMe-demoted cold clusters are fetched into DRAM ahead of the
+		// shared fast-scan; the fetch extends the batch total and is
+		// attributed byte-proportionally like the scan itself.
 		cpuTotal += e.slowAt(des.Time(costmodel.NVMeScanTime(e.cfg.NVMe, nvmeBytes, nvmeClusters)))
 	}
 	cpuDone := resize(&e.cpuDone, b)
+	scanOrder := resize(&e.scanOrder, b)
+	for i := range scanOrder {
+		scanOrder[i] = i
+	}
+	// Scan in tenant-priority order, stable within a tier, so a high-
+	// tier query's prefix excludes lower-tier miss work queued behind
+	// it. Insertion sort: stable (same output as any stable sort),
+	// allocation-free, and batches are at most MaxBatch long.
+	for i := 1; i < len(scanOrder); i++ {
+		v := scanOrder[i]
+		p := e.slots[e.slot(batch[v])].Priority
+		j := i - 1
+		for j >= 0 && e.slots[e.slot(batch[scanOrder[j]])].Priority > p {
+			scanOrder[j+1] = scanOrder[j]
+			j--
+		}
+		scanOrder[j+1] = v
+	}
 	var prefix int64
-	for i := range batch {
+	for _, i := range scanOrder {
 		prefix += cpuWork[i]
 		if missTotal > 0 {
 			cpuDone[i] = tCQ + des.Time(float64(cpuTotal)*float64(prefix)/float64(missTotal))

@@ -35,7 +35,7 @@ func pinnedHybridRun(t *testing.T, kase string) ([]hybridPin, float64) {
 		cfg.NVMe = f.node.NVMe
 		plan.AttachPrecision(sqPrecision(f, plan, 0.04, true))
 	}
-	e := NewHybrid(cfg, plan, gpu.NewStates(f.node), f.gm)
+	e := newHybrid(t, cfg, plan, gpu.NewStates(f.node), f.gm)
 	if kase == "refreshing" {
 		e.SetShardRefreshing(0, true)
 	}
@@ -227,7 +227,7 @@ func TestMultiTenantMixedBatchRoutesPerTenant(t *testing.T) {
 	var done []*workload.Request
 	cfg := f.cfg
 	cfg.Forward = func(r *workload.Request) { done = append(done, r) }
-	e, err := NewMultiTenant(cfg, []TenantSlot{
+	e, err := NewHybrid(cfg, []TenantSlot{
 		{W: f.w, Plan: full, CPUModel: cfg.CPUModel},
 		{W: f.w, Plan: none, CPUModel: cfg.CPUModel},
 	}, f.gpus, f.gm)
@@ -269,7 +269,7 @@ func TestMultiTenantMixedBatchRoutesPerTenant(t *testing.T) {
 func TestMultiTenantStrayTenantClamps(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0.5, f.node.NumGPUs)
-	e, err := NewMultiTenant(f.cfg, []TenantSlot{{W: f.w, Plan: plan, CPUModel: f.cfg.CPUModel}}, f.gpus, f.gm)
+	e, err := NewHybrid(f.cfg, []TenantSlot{{W: f.w, Plan: plan, CPUModel: f.cfg.CPUModel}}, f.gpus, f.gm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,17 +284,17 @@ func TestMultiTenantStrayTenantClamps(t *testing.T) {
 
 func TestMultiTenantValidation(t *testing.T) {
 	f := setup(t)
-	if _, err := NewMultiTenant(f.cfg, nil, f.gpus, f.gm); err == nil {
+	if _, err := NewHybrid(f.cfg, nil, f.gpus, f.gm); err == nil {
 		t.Error("empty slot set accepted")
 	}
-	if _, err := NewMultiTenant(f.cfg, []TenantSlot{{W: f.w}}, f.gpus, f.gm); err == nil {
+	if _, err := NewHybrid(f.cfg, []TenantSlot{{W: f.w}}, f.gpus, f.gm); err == nil {
 		t.Error("nil plan accepted")
 	}
 	badShards := f.plan(t, 0.5, 2)
 	if f.node.NumGPUs == 2 {
 		t.Skip("fixture node has 2 GPUs; shard-mismatch case vacuous")
 	}
-	if _, err := NewMultiTenant(f.cfg, []TenantSlot{{W: f.w, Plan: badShards, CPUModel: f.cfg.CPUModel}}, f.gpus, f.gm); err == nil {
+	if _, err := NewHybrid(f.cfg, []TenantSlot{{W: f.w, Plan: badShards, CPUModel: f.cfg.CPUModel}}, f.gpus, f.gm); err == nil {
 		t.Error("shard/GPU mismatch accepted")
 	}
 }

@@ -33,7 +33,7 @@ func sqPrecision(f *fixture, plan *splitter.Plan, delta float64, nvme bool) *spl
 // given plan and returns the engine.
 func runHybrid(t *testing.T, f *fixture, plan *splitter.Plan, n int) *Hybrid {
 	t.Helper()
-	e := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	e := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	reqs := f.requests(n)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -122,7 +122,7 @@ func TestMultiTenantRecallGainAccrues(t *testing.T) {
 	plan := f.plan(t, 0.3, f.node.NumGPUs)
 	const delta = 0.04
 	plan.AttachPrecision(sqPrecision(f, plan, delta, false))
-	e, err := NewMultiTenant(f.cfg, []TenantSlot{{W: f.w, Plan: plan, CPUModel: f.cfg.CPUModel}}, f.gpus, f.gm)
+	e, err := NewHybrid(f.cfg, []TenantSlot{{W: f.w, Plan: plan, CPUModel: f.cfg.CPUModel}}, f.gpus, f.gm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestShardRefreshDivertsToCPU(t *testing.T) {
 	run := func(refresh bool) (int, des.Time) {
 		f := setup(t)
 		plan := f.plan(t, 0.3, 8)
-		hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+		hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 		if refresh {
 			for g := 0; g < plan.NumShards; g++ {
 				hy.SetShardRefreshing(g, true)
@@ -50,7 +50,7 @@ func TestPartialRefreshOnlyAffectsThatShard(t *testing.T) {
 	run := func(shards []int) des.Time {
 		f := setup(t)
 		plan := f.plan(t, 0.3, 8)
-		hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+		hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 		for _, g := range shards {
 			hy.SetShardRefreshing(g, true)
 		}
@@ -82,7 +82,7 @@ func TestSetPlanSwapsAtomically(t *testing.T) {
 	f := setup(t)
 	oldPlan := f.plan(t, 0.1, 8)
 	newPlan := f.plan(t, 0.5, 8)
-	hy := NewHybrid(f.cfg, oldPlan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, oldPlan, f.gpus, f.gm)
 	if hy.Plan() != oldPlan {
 		t.Fatal("initial plan not installed")
 	}

@@ -56,6 +56,17 @@ func (f *fixture) requests(n int) []*workload.Request {
 	return out
 }
 
+// newHybrid wires a one-slot vLiteRAG engine from cfg's workload, CPU
+// model and live overlay — the single-node configuration.
+func newHybrid(t *testing.T, cfg Config, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
+	t.Helper()
+	e, err := NewHybrid(cfg, []TenantSlot{{W: cfg.W, Plan: plan, CPUModel: cfg.CPUModel, Live: cfg.Live}}, gpus, gm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func (f *fixture) plan(t *testing.T, coverage float64, shards int) *splitter.Plan {
 	t.Helper()
 	plan, err := splitter.Build(f.prof, coverage, shards)
@@ -159,7 +170,7 @@ func TestMaxBatchCap(t *testing.T) {
 func TestHybridFasterThanCPUOnly(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0.3, 8)
-	hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	reqs := f.requests(6)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -190,7 +201,7 @@ func TestHybridFasterThanCPUOnly(t *testing.T) {
 func TestHybridDispatcherPromotesEarly(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0.3, 8)
-	hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	reqs := f.requests(12)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -216,7 +227,7 @@ func TestHybridDispatcherPromotesEarly(t *testing.T) {
 func TestHybridDispatcherOffCompletesTogether(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0.3, 8)
-	hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	hy.Dispatcher = false
 	reqs := f.requests(12)
 	f.sim.At(0, func() {
@@ -238,7 +249,7 @@ func TestHybridDispatcherImprovesAverage(t *testing.T) {
 	run := func(disp bool) float64 {
 		f := setup(t)
 		plan := f.plan(t, 0.3, 8)
-		hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+		hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 		hy.Dispatcher = disp
 		reqs := f.requests(16)
 		f.sim.At(0, func() {
@@ -263,7 +274,7 @@ func TestHybridDispatcherImprovesAverage(t *testing.T) {
 func TestHybridMarksGPUBusy(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0.3, 8)
-	hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	reqs := f.requests(4)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -285,7 +296,7 @@ func TestHybridMarksGPUBusy(t *testing.T) {
 func TestHybridZeroCoverageDegradesToCPU(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0, 8)
-	hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	reqs := f.requests(3)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -340,7 +351,7 @@ func TestUnprunedProbingSlowerThanPruned(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 0.3, 8)
 	reqsH := f.requests(8)
-	hy := NewHybrid(f.cfg, plan, f.gpus, f.gm)
+	hy := newHybrid(t, f.cfg, plan, f.gpus, f.gm)
 	f.sim.At(0, func() {
 		for _, r := range reqsH {
 			hy.Submit(r)

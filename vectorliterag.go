@@ -577,8 +577,8 @@ type LiveReport struct {
 // simulated timeline, new vectors serve from brute-force-scanned
 // append buffers until the periodic re-encode folds them into PQ
 // codes, deletes serve through tombstone bitmaps, and every engine
-// scan is priced through the live cost overlay. With no ingest
-// configured it is exactly Serve.
+// scan is priced through the live cost overlay. With neither a
+// mutation stream nor Compaction configured it is exactly Serve.
 func ServeLive(opts LiveServeOptions) (*LiveReport, error) {
 	lo := rag.LiveOptions{
 		Options: ragOptions(opts.ServeOptions),
