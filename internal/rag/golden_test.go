@@ -194,3 +194,48 @@ func TestClusterDeterministic(t *testing.T) {
 		t.Fatal("identical cluster runs differ")
 	}
 }
+
+// goldenCluster pins RunCluster's single-timeline multi-replica path
+// (baseOpts at 24 req/s on two least-loaded vLiteRAG replicas) as the
+// dedicated cluster composer produced it before every topology moved
+// onto one serving composer.
+var goldenCluster = struct {
+	attainment float64
+	ttftP90    int64
+	e2eP90     int64
+	n          int
+	avgBatch   float64
+	submitted  []int
+}{0.99840383080606543, 338245798, 4795286983, 1253, 1.344598742142521, []int{753, 752}}
+
+func TestClusterMatchesGolden(t *testing.T) {
+	res, err := RunCluster(baseOpts(t, VLiteRAG, 24), 2, "least-loaded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenCluster
+	s := res.Summary
+	if s.Attainment != want.attainment {
+		t.Errorf("attainment %.17g, golden %.17g", s.Attainment, want.attainment)
+	}
+	if int64(s.TTFT.P90) != want.ttftP90 {
+		t.Errorf("TTFT p90 %d, golden %d", int64(s.TTFT.P90), want.ttftP90)
+	}
+	if int64(s.E2E.P90) != want.e2eP90 {
+		t.Errorf("E2E p90 %d, golden %d", int64(s.E2E.P90), want.e2eP90)
+	}
+	if s.N != want.n {
+		t.Errorf("N=%d, golden %d", s.N, want.n)
+	}
+	if res.AvgBatch != want.avgBatch {
+		t.Errorf("avg batch %.17g, golden %.17g", res.AvgBatch, want.avgBatch)
+	}
+	if len(res.PerReplica) != len(want.submitted) {
+		t.Fatalf("%d replicas, golden %d", len(res.PerReplica), len(want.submitted))
+	}
+	for i, rr := range res.PerReplica {
+		if rr.Submitted != want.submitted[i] {
+			t.Errorf("replica %d submitted %d, golden %d", i, rr.Submitted, want.submitted[i])
+		}
+	}
+}
