@@ -14,7 +14,7 @@ FUZZTIME ?= 5s
 # pass.
 COVER_MIN ?= 79.0
 
-.PHONY: verify build test vet lint race bench bench-search bench-serve bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build test vet lint race bench bench-search bench-serve bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt loc
 
 verify: vet lint build race
 
@@ -118,3 +118,8 @@ cover-ratchet:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go lines outside the benchmark driver: the size the
+# simplicity work reports before and after each change. CI prints it.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l

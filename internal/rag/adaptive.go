@@ -50,7 +50,9 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	if opts.Kind == "" {
 		opts.Kind = VLiteRAG
 	}
-	run, err := runNode(nodeSpec{Options: opts.Options, adapt: true, monitor: opts.Monitor})
+	spec := single(opts.Options)
+	spec.adapt, spec.monitor = true, opts.Monitor
+	run, err := runSystem(spec)
 	if err != nil {
 		return nil, err
 	}

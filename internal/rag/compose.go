@@ -7,6 +7,7 @@ import (
 
 	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/fault"
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/llm"
@@ -17,7 +18,6 @@ import (
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
-	"vectorliterag/internal/workload"
 )
 
 // decision is a system's resource choice — coverage, split plan, LLM
@@ -171,45 +171,17 @@ func attachPrecision(opts Options, prof *profiler.AccessProfile, plan *splitter.
 func stageBuilders(sim *des.Sim, opts Options, d *decision, cpuModel costmodel.SearchModel, live retrieval.LiveCost) (retr, gen serve.Builder) {
 	states := gpu.NewStates(opts.Node)
 	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
-	llmStates := states
-
-	var makeEngine func(cfg retrieval.Config) (retrieval.Engine, error)
-	switch opts.Kind {
-	case CPUOnly:
-		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) { return retrieval.NewCPUOnly(cfg), nil }
-	case AllGPU:
-		applyShards(states, d.plan)
-		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
-			return retrieval.NewAllGPU(cfg, d.plan, states, gm), nil
-		}
-	case DedGPU:
-		dedStates := states[opts.Node.NumGPUs-d.nDed:]
-		llmStates = states[:opts.Node.NumGPUs-d.nDed]
-		applyShards(dedStates, d.plan)
-		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
-			return retrieval.NewDedGPU(cfg, d.plan, dedStates, gm), nil
-		}
-	case VLiteRAG:
-		applyShards(states, d.plan)
-		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
-			h, err := retrieval.NewHybrid(cfg, []retrieval.TenantSlot{
-				{W: cfg.W, Plan: d.plan, CPUModel: cfg.CPUModel, Live: cfg.Live},
-			}, states, gm)
-			if err != nil {
-				return nil, err
-			}
-			h.Dispatcher = !opts.DisableDispatcher
-			return h, nil
-		}
-	case HedraRAG:
-		applyShards(states, d.plan)
-		makeEngine = func(cfg retrieval.Config) (retrieval.Engine, error) {
-			return retrieval.NewHedra(cfg, d.plan, states, gm), nil
-		}
+	// DED-GPU serves the index from its own GPUs and the LLM from the
+	// rest; every other system shares all of them.
+	idxStates, llmStates := states, states
+	if opts.Kind == DedGPU {
+		idxStates, llmStates = states[opts.Node.NumGPUs-d.nDed:], states[:opts.Node.NumGPUs-d.nDed]
 	}
-
+	if d.plan != nil {
+		applyShards(idxStates, d.plan)
+	}
 	retr = serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
-		return makeEngine(retrieval.Config{
+		cfg := retrieval.Config{
 			Sim:      sim,
 			W:        opts.W,
 			CPUModel: cpuModel,
@@ -217,7 +189,25 @@ func stageBuilders(sim *des.Sim, opts Options, d *decision, cpuModel costmodel.S
 			Live:     live,
 			MaxBatch: opts.MaxBatch,
 			NVMe:     opts.Node.NVMe,
-		})
+		}
+		switch opts.Kind {
+		case CPUOnly:
+			return retrieval.NewCPUOnly(cfg), nil
+		case AllGPU:
+			return retrieval.NewAllGPU(cfg, d.plan, idxStates, gm), nil
+		case DedGPU:
+			return retrieval.NewDedGPU(cfg, d.plan, idxStates, gm), nil
+		case HedraRAG:
+			return retrieval.NewHedra(cfg, d.plan, idxStates, gm), nil
+		}
+		h, err := retrieval.NewHybrid(cfg, []retrieval.TenantSlot{
+			{W: cfg.W, Plan: d.plan, CPUModel: cfg.CPUModel, Live: cfg.Live},
+		}, idxStates, gm)
+		if err != nil {
+			return nil, err
+		}
+		h.Dispatcher = !opts.DisableDispatcher
+		return h, nil
 	})
 	gen = serve.GenerationStage(func() (*llm.Cluster, error) {
 		return llm.NewCluster(sim, opts.Node, opts.Model, llmStates, llm.DefaultEngineConfig())
@@ -232,16 +222,6 @@ func profileFor(opts Options) (*profiler.AccessProfile, error) {
 		n = 4000
 	}
 	return profiler.CollectAccess(opts.W, n, opts.Seed+1)
-}
-
-// arrivalsFor returns the run's pipeline source: the constant-rate
-// Poisson stream, or the inhomogeneous (thinned) stream when a rate
-// schedule is set.
-func arrivalsFor(opts Options) *serve.Arrivals {
-	if opts.RateSchedule != nil {
-		return serve.NewScheduledArrivals(opts.W, opts.RateSchedule, opts.Shape, opts.Seed+7)
-	}
-	return serve.NewArrivals(opts.W, opts.Rate, opts.Shape, opts.Seed+7)
 }
 
 // serveSection measures the simulation section of a run — wall clock
@@ -278,6 +258,9 @@ func (s *serveSection) end() (wall time.Duration, allocs, bytes uint64) {
 // to its pre-run rotation, so one run's drift cannot leak into the
 // next (static and adaptive arms replay the identical trace).
 func installDrift(sim *des.Sim, opts Options) (restore func()) {
+	if len(opts.Drift) == 0 {
+		return func() {}
+	}
 	initial := opts.W.PopularityRotation()
 	for _, ev := range opts.Drift {
 		ev := ev
@@ -290,13 +273,13 @@ func installDrift(sim *des.Sim, opts Options) (restore func()) {
 // decision, composes the serving pipeline (admission → retrieval →
 // generation → collector, with the bounded scheduler ahead of retrieval
 // when Overload is set), and drives Poisson arrivals through it in
-// virtual time.
+// virtual time. It is the one-replica preset of the serving composer.
 func Run(opts Options) (*Result, error) {
-	run, err := runNode(nodeSpec{Options: opts})
+	c, err := runSystem(single(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &run.Result, nil
+	return &c.Result, nil
 }
 
 // ReplicaResult reports one replica's share of a cluster run.
@@ -326,126 +309,49 @@ type ClusterResult struct {
 	Resilience *ResilienceReport
 }
 
+// ResilienceReport is the failure-handling addendum of a resilient
+// cluster run: what the storm did, what the router did about it, and
+// what it cost.
+type ResilienceReport struct {
+	// Faults echoes the injected schedule (useful when it was random).
+	Faults fault.Schedule
+	// Stats counts the router's failure-handling actions.
+	Stats serve.ResilienceStats
+	// Goodput is SLO-meeting completions per second of arrival window —
+	// the headline number degradation arms trade recall to protect.
+	Goodput float64
+	// Recoveries is, per crash episode, crash instant → completion of
+	// the last request failed over off the dead replica (negative when
+	// no failover completed).
+	Recoveries []time.Duration
+}
+
+// String renders the report's counters compactly for logs and tables.
+func (r *ResilienceReport) String() string {
+	return fmt.Sprintf("goodput=%.2f/s retried=%d failedover=%d hedged=%d hedgewins=%d timedout=%d failed=%d ghosts=%d crashes=%d",
+		r.Goodput, r.Stats.Retried, r.Stats.FailedOver, r.Stats.Hedged, r.Stats.HedgeWins, r.Stats.TimedOut, r.Stats.Failed, r.Stats.Ghosts, r.Stats.Crashes)
+}
+
 // RunCluster executes one evaluation point on N independent node
 // pipelines behind a front-end router. The resource decision is made
 // once (the replicas are identical nodes) and instantiated per replica
 // with its own GPU states, retrieval engine, and LLM cluster; a single
 // Poisson stream feeds the router, so rate is the cluster-wide arrival
 // rate.
+//
+// The front end follows the options: faults or Resilience select the
+// failure-aware router on one shared timeline (Workers is accepted and
+// irrelevant there); a positive NetDelay selects the parallel sharded
+// engine, and Workers > 1 opts into it by defaulting NetDelay; anything
+// else routes on one timeline. Overload gives each replica its own
+// bounded scheduler and brownout controller.
 func RunCluster(opts Options, replicas int, policy serve.Policy) (*ClusterResult, error) {
-	if replicas <= 0 {
-		return nil, fmt.Errorf("rag: need at least one replica, got %d", replicas)
-	}
-	if opts.NetDelay < 0 {
-		return nil, fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
-	}
-	if opts.Overload != nil {
-		return nil, fmt.Errorf("rag: overload control runs on single-node Run and multi-tenant serving; cluster runs degrade through the resilient front end instead")
-	}
-	if opts.resilient() {
-		// Failure injection runs on the single shared timeline: crash
-		// failover and hedging need the router and every replica on one
-		// event queue, and the schedule is then trivially identical for
-		// any Workers value.
-		return runClusterResilient(opts, replicas, policy)
-	}
-	// Workers > 1 needs shards to spread over; sharding needs a positive
-	// network delay for lookahead, so asking for parallelism opts into
-	// the modeled network.
-	if opts.NetDelay == 0 && opts.Workers > 1 {
+	if !opts.resilient() && opts.NetDelay == 0 && opts.Workers > 1 {
 		opts.NetDelay = DefaultNetDelay
 	}
-	if opts.NetDelay > 0 {
-		return runClusterSharded(opts, replicas, policy)
-	}
-	// Resolve the policy before the expensive profiling/decision work so
-	// a typo fails fast.
-	policy, err := serve.ResolvePolicy(policy)
+	c, err := runSystem(servingSpec{Options: opts, replicas: replicas, policy: policy})
 	if err != nil {
 		return nil, err
 	}
-	sloTotal, err := opts.normalize()
-	if err != nil {
-		return nil, err
-	}
-	prof, err := profileFor(opts)
-	if err != nil {
-		return nil, err
-	}
-	cpuModel := costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec)
-	d, err := decide(opts, prof, cpuModel)
-	if err != nil {
-		return nil, err
-	}
-
-	var sim des.Sim
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	reps := make([]*serve.Replica, replicas)
-	repColls := make([]*serve.Collector, replicas)
-	for i := range reps {
-		rep := serve.NewReplica()
-		repColl := serve.NewCollector()
-		retr, gen := stageBuilders(&sim, opts, d, cpuModel, nil)
-		pipe, err := serve.Compose(&sim,
-			serve.Tee(coll.Done, repColl.Done, rep.Release, pool.Release),
-			serve.Admit(repColl), retr, gen)
-		if err != nil {
-			return nil, err
-		}
-		rep.Bind(pipe)
-		reps[i] = rep
-		repColls[i] = repColl
-	}
-	router, err := serve.NewRouter(policy, reps)
-	if err != nil {
-		return nil, err
-	}
-	front, err := serve.Compose(&sim, router.Submit, serve.Admit(coll))
-	if err != nil {
-		return nil, err
-	}
-	defer installDrift(&sim, opts)()
-	arr := arrivalsFor(opts)
-	arr.SetPool(pool)
-	sec := beginServeSection()
-	front.Run(arr, opts.Duration, opts.Drain)
-	wall, allocs, bytes := sec.end()
-
-	res := &ClusterResult{
-		Result: Result{
-			Kind: opts.Kind, Rate: opts.Rate, SLOTotal: sloTotal,
-			ServeWall: wall, ServeAllocs: allocs, ServeBytes: bytes,
-			Rho: d.rho, PlanBytes: d.planBytes, Mu0: d.mu0, Partition: d.partition,
-			Requests:  coll.Requests(),
-			Generated: coll.Admitted(),
-			Summary:   coll.Summarize(sloTotal, des.Time(opts.Warmup)),
-		},
-		Policy: policy,
-	}
-	var batchSum, gainSum float64
-	for i, rep := range reps {
-		pipe := rep.Pipeline()
-		rr := ReplicaResult{
-			Submitted: rep.Submitted(),
-			Summary:   repColls[i].Summarize(sloTotal, des.Time(opts.Warmup)),
-			AvgBatch:  pipe.Retrieval().AvgBatch(),
-			LLMGPUs:   pipe.Generation().GPUs(opts.Model.TP),
-		}
-		res.PerReplica = append(res.PerReplica, rr)
-		res.LLMGPUs += rr.LLMGPUs
-		batchSum += rr.AvgBatch * float64(rr.Submitted)
-		if g, ok := pipe.Retrieval().Engine.(retrieval.RecallReporter); ok {
-			gainSum += g.RecallGain() * float64(rr.Submitted)
-		}
-	}
-	if res.Generated > 0 {
-		res.AvgBatch = batchSum / float64(res.Generated)
-		res.RecallGain = gainSum / float64(res.Generated)
-	}
-	if d.plan != nil && d.plan.Prec != nil {
-		res.SQClusters = d.plan.Prec.SQClusters
-		res.NVMeClusters = d.plan.Prec.NVMeClusters
-	}
-	return res, nil
+	return &c.ClusterResult, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"vectorliterag/internal/adapt"
-	"vectorliterag/internal/des"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
@@ -136,11 +135,12 @@ func RunLive(opts LiveOptions) (*LiveResult, error) {
 	if err := opts.Ingest.validate(); err != nil {
 		return nil, err
 	}
-	spec := nodeSpec{Options: opts.Options, adapt: opts.Ingest.Compaction, monitor: opts.Monitor}
+	spec := single(opts.Options)
+	spec.adapt, spec.monitor = opts.Ingest.Compaction, opts.Monitor
 	if opts.Ingest.active() || opts.Ingest.Compaction {
 		spec.ingest = &opts.Ingest
 	}
-	run, err := runNode(spec)
+	run, err := runSystem(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func RunLive(opts LiveOptions) (*LiveResult, error) {
 		res.Compactions = run.ing.Compactions()
 		res.SizeSkew = run.store.SizeSkew()
 		res.ResidualRatio = run.store.ResidualRatio()
-		res.Freshness = metrics.SummarizeFreshness(res.Mutations, opts.Ingest.FreshnessSLO, des.Time(run.opts.Warmup))
+		res.Freshness = metrics.SummarizeFreshness(res.Mutations, opts.Ingest.FreshnessSLO, run.warmup)
 	}
 	if run.ctrl != nil {
 		res.Rebuilds = run.ctrl.Rebuilds()

@@ -115,22 +115,14 @@ func rigOverload(sim *des.Sim, o *OverloadOptions, sched *serve.FairScheduler,
 	return rig, nil
 }
 
-// observe returns the rig's completion observer, or nil without a
-// controller — callers tee it conditionally.
-func (r *overloadRig) observe() serve.Sink {
-	if r == nil || r.ctrl == nil {
-		return nil
-	}
-	return r.ctrl.Observe
-}
-
-// teeObserve builds a terminal sink: finalize the record, let the rig's
-// observer and then any further observers see the completed request,
-// and only then hand it to the sink that gives it away.
-func teeObserve(rig *overloadRig, record, release serve.Sink, observers ...serve.Sink) serve.Sink {
-	sinks := []serve.Sink{record}
-	if obs := rig.observe(); obs != nil {
-		sinks = append(sinks, obs)
+// teeObserve builds a terminal sink: finalize the records, let the
+// rig's brownout controller (when it runs one) and then any further
+// observers see the completed request, and only then hand it to the
+// sink that gives it away.
+func teeObserve(rig *overloadRig, record []serve.Sink, release serve.Sink, observers ...serve.Sink) serve.Sink {
+	sinks := append([]serve.Sink(nil), record...)
+	if rig != nil && rig.ctrl != nil {
+		sinks = append(sinks, rig.ctrl.Observe)
 	}
 	sinks = append(sinks, observers...)
 	return serve.Tee(append(sinks, release)...)
@@ -160,21 +152,22 @@ func (r *overloadRig) report(o *OverloadOptions, tenants int, end des.Time, span
 	return rep
 }
 
-// mergeOverloadReports folds per-replica rigs into one report: rejected
-// counts sum, the brownout depth and dwell report the worst replica,
-// and the mean shed weights each replica by its stamped requests.
-func mergeOverloadReports(o *OverloadOptions, rigs []*overloadRig, tenants int, end des.Time, span time.Duration) *OverloadReport {
+// mergeOverloadReports folds the replicas' rigs into one report:
+// rejected counts sum, the brownout depth and dwell report the worst
+// replica, and the mean shed weights each replica by its stamped
+// requests. A single rig reports its own outcome.
+func mergeOverloadReports(o *OverloadOptions, nodes []*replicaNode, tenants int, end des.Time, span time.Duration) *OverloadReport {
+	if len(nodes) == 1 {
+		return nodes[0].rig.report(o, tenants, end, span)
+	}
 	rep := &OverloadReport{
 		QueueCap: o.QueueCap,
 		Brownout: o.Brownout,
 		Rejected: make([]int, tenants),
 	}
 	var shedSum float64
-	for _, rig := range rigs {
-		if rig == nil {
-			continue
-		}
-		rr := rig.report(o, tenants, end, span)
+	for _, n := range nodes {
+		rr := n.rig.report(o, tenants, end, span)
 		for t := range rep.Rejected {
 			rep.Rejected[t] += rr.Rejected[t]
 		}
@@ -195,42 +188,15 @@ func mergeOverloadReports(o *OverloadOptions, rigs []*overloadRig, tenants int, 
 	return rep
 }
 
-// overloadBudgets derives the per-tenant stage budgets and tier biases
-// for a multi-tenant run's controller.
-func (opts *MultiTenantOptions) overloadBudgets() ([]brownout.StageBudget, []float64) {
-	budgets := make([]brownout.StageBudget, len(opts.Tenants))
-	bias := make([]float64, len(opts.Tenants))
-	for i, tc := range opts.Tenants {
-		b := brownout.StageBudget{Retrieval: tc.SLOSearch, Generation: opts.SLOGen}
-		if opts.Overload.RetrievalBudget > 0 {
-			b.Retrieval = opts.Overload.RetrievalBudget
-		}
-		if opts.Overload.GenerationBudget > 0 {
-			b.Generation = opts.Overload.GenerationBudget
-		}
-		budgets[i] = b
-		bias[i] = tc.Tier.BrownoutBias()
+// budget is one source's stage budget: the configured overrides, else
+// the source's own stage SLOs.
+func (o *OverloadOptions) budget(search, gen time.Duration) brownout.StageBudget {
+	b := brownout.StageBudget{Retrieval: search, Generation: gen}
+	if o.RetrievalBudget > 0 {
+		b.Retrieval = o.RetrievalBudget
 	}
-	return budgets, bias
-}
-
-// overloadBudget is the single-tenant form: one budget from the run's
-// own stage SLOs, full bias.
-func (opts *Options) overloadBudget() ([]brownout.StageBudget, []float64) {
-	b := brownout.StageBudget{Retrieval: opts.SLOSearch, Generation: opts.SLOGen}
-	if opts.Overload.RetrievalBudget > 0 {
-		b.Retrieval = opts.Overload.RetrievalBudget
+	if o.GenerationBudget > 0 {
+		b.Generation = o.GenerationBudget
 	}
-	if opts.Overload.GenerationBudget > 0 {
-		b.Generation = opts.Overload.GenerationBudget
-	}
-	return []brownout.StageBudget{b}, []float64{1}
-}
-
-// rejectSink builds the standard rejection path: freeze the collector
-// record as unserved, then hand the request to the give-away sink
-// (pool release on a single timeline, the completion notice on a
-// sharded replica).
-func rejectSink(abandon serve.Sink, giveAway serve.Sink) serve.Sink {
-	return serve.Tee(abandon, giveAway)
+	return b
 }

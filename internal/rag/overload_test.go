@@ -45,7 +45,8 @@ func TestOverloadOptionsNormalize(t *testing.T) {
 
 // TestOverloadIncompatibleModes: every serving mode that cannot honor
 // overload control must say so up front instead of silently ignoring
-// the option; live ingest, which can, must run it.
+// the option; live ingest and fault-free clusters, which can, must run
+// it.
 func TestOverloadIncompatibleModes(t *testing.T) {
 	ov := &OverloadOptions{QueueCap: 16}
 
@@ -62,10 +63,27 @@ func TestOverloadIncompatibleModes(t *testing.T) {
 		t.Fatalf("adaptive+Overload: %v", err)
 	}
 
-	co := baseOpts(t, VLiteRAG, 10)
-	co.Overload = ov
-	if _, err := RunCluster(co, 2, ""); err == nil || !strings.Contains(err.Error(), "overload") {
-		t.Fatalf("cluster+Overload: %v", err)
+	// A fault-free cluster gives every replica its own rig, on one
+	// timeline and on the sharded exchange alike.
+	for _, netDelay := range []time.Duration{0, time.Millisecond} {
+		co := baseOpts(t, VLiteRAG, 20)
+		co.Overload = ov
+		co.NetDelay = netDelay
+		res, err := RunCluster(co, 2, "")
+		if err != nil {
+			t.Fatalf("cluster+Overload (NetDelay %v): %v", netDelay, err)
+		}
+		if res.Overload == nil || len(res.Overload.Rejected) != 1 {
+			t.Fatalf("cluster+Overload (NetDelay %v): report %+v", netDelay, res.Overload)
+		}
+	}
+
+	// Under faults the resilient router's degradation and brownout's
+	// first rung would both write req.Degrade.
+	fo := stormOpts(t)
+	fo.Overload = ov
+	if _, err := RunCluster(fo, 3, ""); err == nil || !strings.Contains(err.Error(), "overload") {
+		t.Fatalf("faults+Overload: %v", err)
 	}
 
 	// Compaction attaches the same adapt controller, so it is refused

@@ -101,13 +101,14 @@ type Options struct {
 	// placement decision to refine.
 	Precision *PrecisionOptions
 	// Overload, when non-nil, puts a bounded admission queue (and
-	// optionally the brownout controller) in front of the pipeline: the
-	// single-tenant form of the multi-tenant overload control, with one
-	// queue, full tier bias, and the run's own stage SLOs as budgets.
-	// Nil keeps the unmetered pipeline byte for byte. Supported on the
-	// single-node Run and RunLive — cluster runs route through the
-	// resilient front end, whose degradation machinery overload control
-	// would fight, and the adapt controller (RunAdaptive, Compaction)
+	// optionally the brownout controller) in front of each node's
+	// pipeline: the single-tenant form of the multi-tenant overload
+	// control, with one queue, full tier bias, and the run's own stage
+	// SLOs as budgets. Nil keeps the unmetered pipeline byte for byte.
+	// Supported on Run, RunLive and fault-free RunCluster (one rig per
+	// replica). Refused under faults — the resilient router's
+	// degradation and brownout's first rung both write req.Degrade —
+	// and with the adapt controller (RunAdaptive, Compaction), which
 	// would fight it over the same latency signal.
 	Overload *OverloadOptions
 
@@ -119,9 +120,10 @@ type Options struct {
 	// NetDelay); single-node Run ignores it entirely.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
-	// cluster run. Zero keeps today's single-timeline cluster semantics
+	// cluster run. Zero keeps the single-timeline cluster semantics
 	// (router and replicas share one instantaneous simulator). A
-	// positive value switches RunCluster to the parallel sharded engine:
+	// positive value switches RunCluster to the parallel sharded engine
+	// (refused under faults, whose failover needs one timeline):
 	// requests reach replicas one NetDelay after routing, completion
 	// notices return one NetDelay later, and that delay is the lookahead
 	// window conservative synchronization runs on.
@@ -132,8 +134,8 @@ type Options struct {
 	// deterministic virtual-time events. A non-empty schedule (or a
 	// non-nil Resilience) switches RunCluster to the resilient serving
 	// path; empty and nil leave every existing path untouched,
-	// byte-for-byte. Single-node Run rejects fault schedules — failures
-	// need replicas to fail over to.
+	// byte-for-byte. Faults need at least two replicas to fail over to,
+	// so single-node Run rejects them.
 	Faults fault.Schedule
 	// Resilience configures the failure-aware front end (health-tracked
 	// failover, timeouts with bounded retry, hedged requests, graceful
@@ -199,17 +201,27 @@ func (opts *Options) normalize() (sloTotal time.Duration, err error) {
 	if err := dataset.ValidateDrift(opts.Drift); err != nil {
 		return 0, fmt.Errorf("rag: %w", err)
 	}
+	if opts.SLOSearch == 0 {
+		opts.SLOSearch = opts.W.Spec.SLOSearch
+	}
+	if err := opts.fillDefaults(); err != nil {
+		return 0, err
+	}
+	return opts.SLOSearch + opts.SLOGen, nil
+}
+
+// fillDefaults validates the controller options and fills the run
+// parameters every topology shares: the arrival, warmup and drain
+// windows, the request shape, and the measured generation SLO.
+func (opts *Options) fillDefaults() error {
 	if opts.Precision != nil {
-		if opts.Kind != VLiteRAG {
-			return 0, fmt.Errorf("rag: precision refinement applies to %s only, not %s", VLiteRAG, opts.Kind)
-		}
 		if err := opts.Precision.normalize(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if opts.Overload != nil {
 		if err := opts.Overload.normalize(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if opts.Duration == 0 {
@@ -224,17 +236,14 @@ func (opts *Options) normalize() (sloTotal time.Duration, err error) {
 	if opts.Shape == (workload.Shape{}) {
 		opts.Shape = workload.DefaultShape()
 	}
-	if opts.SLOSearch == 0 {
-		opts.SLOSearch = opts.W.Spec.SLOSearch
-	}
 	if opts.SLOGen == 0 {
 		slo, err := GenSLO(opts.Node, opts.Model, opts.Shape)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		opts.SLOGen = slo
 	}
-	return opts.SLOSearch + opts.SLOGen, nil
+	return nil
 }
 
 // Result is one evaluation point.
@@ -340,11 +349,15 @@ func GenSLO(node hw.Node, model llm.ModelSpec, shape workload.Shape) (time.Durat
 	return slo, nil
 }
 
-// applyShards records per-GPU resident shard bytes (shrinking KV).
-func applyShards(states []*gpu.State, plan *splitter.Plan) {
-	for g := range plan.ShardBytes {
-		if g < len(states) {
-			states[g].ShardBytes = plan.ShardBytes[g]
+// applyShards records per-GPU resident shard bytes, stacking every
+// plan's shards on the same devices (shrinking the KV pool the LLM
+// instances see).
+func applyShards(states []*gpu.State, plans ...*splitter.Plan) {
+	for _, plan := range plans {
+		for g := range plan.ShardBytes {
+			if g < len(states) {
+				states[g].ShardBytes += plan.ShardBytes[g]
+			}
 		}
 	}
 }

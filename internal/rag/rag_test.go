@@ -7,6 +7,7 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
+	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
 
@@ -68,11 +69,38 @@ func TestAllSystemsServeTraffic(t *testing.T) {
 }
 
 // TestTimestampOrderingInvariant checks the request invariants on every
-// single-node preset: lifecycle order on each served record, and
+// preset and topology: lifecycle order on each served record, and
 // conservation — one record per arrival, each either served, rejected
 // at admission, or still unserved when the clock stopped.
 func TestTimestampOrderingInvariant(t *testing.T) {
 	overload := &OverloadOptions{QueueCap: 16, Brownout: true}
+	cluster := func(o Options, replicas int) func() (*Result, error) {
+		return func() (*Result, error) {
+			r, err := RunCluster(o, replicas, serve.LeastLoaded)
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		}
+	}
+	tenants := func(o MultiTenantOptions) func() (*Result, error) {
+		return func() (*Result, error) {
+			r, err := RunMultiTenant(o)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Requests: r.Requests, Generated: r.Generated, Overload: r.Overload}, nil
+		}
+	}
+	exchange := baseOpts(t, VLiteRAG, 24)
+	exchange.NetDelay = time.Millisecond
+	clusterOverload := baseOpts(t, VLiteRAG, 90)
+	clusterOverload.Overload = overload
+	shared := mtOpts(t)
+	shared.SharedQueue = true
+	shardedOverload := mtOpts(t)
+	shardedOverload.Replicas, shardedOverload.Workers = 2, 2
+	shardedOverload.Overload = &OverloadOptions{QueueCap: 8, Brownout: true}
 	cases := []struct {
 		name string
 		run  func() (*Result, error)
@@ -109,6 +137,13 @@ func TestTimestampOrderingInvariant(t *testing.T) {
 			}
 			return &r.Result, nil
 		}},
+		{"cluster/one-timeline", cluster(baseOpts(t, VLiteRAG, 24), 2)},
+		{"cluster/exchange", cluster(exchange, 2)},
+		{"cluster/resilient-storm", cluster(stormOpts(t), 3)},
+		{"cluster+overload", cluster(clusterOverload, 2)},
+		{"tenants/fair", tenants(mtOpts(t))},
+		{"tenants/shared-queue", tenants(shared)},
+		{"tenants/sharded+overload", tenants(shardedOverload)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -148,5 +149,18 @@ func TestResilientValidation(t *testing.T) {
 	o3.Resilience = &serve.ResilienceConfig{MaxRetries: -1}
 	if _, err := RunCluster(o3, 2, serve.LeastLoaded); err == nil {
 		t.Fatal("RunCluster accepted negative MaxRetries")
+	}
+	// Failover needs every replica on one timeline: an explicit network
+	// delay (the sharded engine) is refused rather than silently dropped.
+	o4 := stormOpts(t)
+	o4.NetDelay = time.Millisecond
+	if _, err := RunCluster(o4, 3, serve.LeastLoaded); err == nil || !strings.Contains(err.Error(), "NetDelay") {
+		t.Fatalf("RunCluster accepted NetDelay with faults: %v", err)
+	}
+	// A single replica has nothing to fail over to.
+	o5 := baseOpts(t, VLiteRAG, 10)
+	o5.Faults = fault.Schedule{{Kind: fault.Crash, Replica: 0, At: time.Second, Duration: time.Second}}
+	if _, err := RunCluster(o5, 1, serve.LeastLoaded); err == nil {
+		t.Fatal("RunCluster accepted faults on one replica")
 	}
 }

@@ -169,30 +169,30 @@ type MultiTenantResult struct {
 	Overload *OverloadReport
 }
 
-// normalizeMT fills defaults and validates the option set, returning
-// the per-tenant combined SLO budgets.
-func (opts *MultiTenantOptions) normalizeMT() ([]time.Duration, error) {
+// normalizeMT validates the tenant lineup and fills the per-tenant
+// and scheduler defaults.
+func (opts *MultiTenantOptions) normalizeMT() error {
 	if len(opts.Tenants) == 0 {
-		return nil, fmt.Errorf("rag: no tenants")
+		return fmt.Errorf("rag: no tenants")
 	}
 	if opts.Node.NumGPUs == 0 {
-		return nil, fmt.Errorf("rag: node has no GPUs")
+		return fmt.Errorf("rag: node has no GPUs")
 	}
 	for i := range opts.Tenants {
 		tc := &opts.Tenants[i]
 		if tc.W == nil {
-			return nil, fmt.Errorf("rag: tenant %d (%s) has no workload", i, tc.Name)
+			return fmt.Errorf("rag: tenant %d (%s) has no workload", i, tc.Name)
 		}
 		if tc.Rate <= 0 {
-			return nil, fmt.Errorf("rag: tenant %d (%s) non-positive rate %v", i, tc.Name, tc.Rate)
+			return fmt.Errorf("rag: tenant %d (%s) non-positive rate %v", i, tc.Name, tc.Rate)
 		}
 		if tc.RateSchedule != nil {
 			if err := workload.ValidateSchedule(tc.RateSchedule); err != nil {
-				return nil, fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
+				return fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
 			}
 		}
 		if _, err := tenant.ParseTier(string(tc.Tier)); err != nil {
-			return nil, fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
+			return fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
 		}
 		if tc.Name == "" {
 			tc.Name = fmt.Sprintf("tenant-%d", i)
@@ -201,49 +201,13 @@ func (opts *MultiTenantOptions) normalizeMT() ([]time.Duration, error) {
 			tc.SLOSearch = tc.W.Spec.SLOSearch
 		}
 	}
-	if opts.Duration == 0 {
-		opts.Duration = 120 * time.Second
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = 20 * time.Second
-	}
-	if opts.Drain == 0 {
-		opts.Drain = 120 * time.Second
-	}
-	if opts.Shape == (workload.Shape{}) {
-		opts.Shape = workload.DefaultShape()
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 64
 	}
 	if opts.SchedulerInflight <= 0 {
 		opts.SchedulerInflight = 32
 	}
-	if opts.SLOGen == 0 {
-		slo, err := GenSLO(opts.Node, opts.Model, opts.Shape)
-		if err != nil {
-			return nil, err
-		}
-		opts.SLOGen = slo
-	}
-	if opts.Precision != nil {
-		if err := opts.Precision.normalize(); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Overload != nil {
-		if opts.SharedQueue {
-			return nil, fmt.Errorf("rag: overload control needs the fair scheduler's per-tenant queues; it cannot bound the shared-queue baseline")
-		}
-		if err := opts.Overload.normalize(); err != nil {
-			return nil, err
-		}
-	}
-	slos := make([]time.Duration, len(opts.Tenants))
-	for i := range opts.Tenants {
-		slos[i] = opts.Tenants[i].SLOSearch + opts.SLOGen
-	}
-	return slos, nil
+	return nil
 }
 
 // tenantDecision is the offline half of a multi-tenant run: per-tenant
@@ -404,172 +368,123 @@ func attachTenantPrecision(opts *MultiTenantOptions, prof *profiler.AccessProfil
 }
 
 // RunMultiTenant executes one multi-tenant evaluation point: N tenants
-// with their own corpora, rates, and SLO tiers share one node. The
+// with their own corpora, rates, and SLO tiers share each node. The
 // joint allocator splits HBM across the tenants' GPU index caches
 // (reserving KV for the aggregate generation rate), every tenant's
-// arrivals multiplex onto one virtual timeline, and the FairScheduler
-// meters admission into the shared retrieval engine — unless
-// SharedQueue selects the unmetered baseline.
+// arrivals multiplex onto one front, and the FairScheduler meters
+// admission into the shared retrieval engine — unless SharedQueue
+// selects the unmetered baseline.
+//
+// Replicas > 1 (or Workers > 1, or a positive NetDelay) serves the
+// lineup on R identical nodes behind the sharded exchange. The joint
+// allocation is made once per replica — each node carries every
+// tenant's index slice sized for its 1/R share of that tenant's
+// traffic — and reported rates stay nominal (cluster-wide).
 func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
-	if opts.NetDelay < 0 {
-		return nil, fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
+	replicas := max(opts.Replicas, 1)
+	if opts.NetDelay == 0 && (replicas > 1 || opts.Workers > 1) {
+		opts.NetDelay = DefaultNetDelay
 	}
-	if opts.Replicas > 1 || opts.NetDelay > 0 || opts.Workers > 1 {
-		return runMultiTenantSharded(opts)
+	s := servingSpec{
+		Options: Options{
+			Node: opts.Node, Model: opts.Model, Kind: VLiteRAG, Seed: opts.Seed,
+			Duration: opts.Duration, Warmup: opts.Warmup, Drain: opts.Drain,
+			Shape: opts.Shape, SLOGen: opts.SLOGen,
+			Precision: opts.Precision, Overload: opts.Overload,
+			Workers: opts.Workers, NetDelay: opts.NetDelay,
+		},
+		replicas: replicas, policy: opts.Policy,
+		sharedQueue: opts.SharedQueue,
 	}
-	slos, err := opts.normalizeMT()
-	if err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	d, err := decideTenants(&opts)
+	if err := opts.normalizeMT(); err != nil {
+		return nil, err
+	}
+	if err := s.fillDefaults(); err != nil {
+		return nil, err
+	}
+	opts.Shape = s.Shape // the joint allocator measures capacity at the run's shape
+	// Size each node's allocation for its share of the traffic: the
+	// allocator sees per-replica rates, every other input unchanged.
+	scaled := opts
+	scaled.Tenants = append([]TenantConfig(nil), opts.Tenants...)
+	for i := range scaled.Tenants {
+		scaled.Tenants[i].Rate /= float64(replicas)
+	}
+	d, err := decideTenants(&scaled)
 	if err != nil {
 		return nil, err
 	}
 
-	// One shared set of GPU states: every tenant's shard bytes stack up
-	// on the same devices, shrinking the KV pool the LLM instances see.
-	states := gpu.NewStates(opts.Node)
-	for _, plan := range d.plans {
-		for g := range plan.ShardBytes {
-			if g < len(states) {
-				states[g].ShardBytes += plan.ShardBytes[g]
-			}
-		}
-	}
+	s.tenants, s.inflight = opts.Tenants, opts.SchedulerInflight
 	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
 	slots := make([]retrieval.TenantSlot, len(opts.Tenants))
 	for i, tc := range opts.Tenants {
 		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: d.plans[i], CPUModel: d.cpuModels[i], Priority: tc.Tier.Priority()}
-	}
-
-	var sched *serve.FairScheduler
-	if !opts.SharedQueue {
-		classes := make([]serve.TenantClass, len(opts.Tenants))
-		for i, tc := range opts.Tenants {
-			classes[i] = serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()}
+		s.sources = append(s.sources, source{w: tc.W, rate: tc.Rate, sched: tc.RateSchedule})
+		s.slos = append(s.slos, tc.SLOSearch+s.SLOGen)
+		if !opts.SharedQueue {
+			s.classes = append(s.classes, serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()})
 		}
-		sched, err = serve.NewFairScheduler(classes, opts.SchedulerInflight)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var sim des.Sim
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	retr := serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
-		// The shared config carries no Workload or CPUModel: the engine
-		// prices every stage per tenant slot.
-		return retrieval.NewHybrid(retrieval.Config{
-			Sim:      &sim,
-			Forward:  forward,
-			MaxBatch: opts.MaxBatch,
-			NVMe:     opts.Node.NVMe,
-		}, slots, states, gm)
-	})
-	gen := serve.GenerationStage(func() (*llm.Cluster, error) {
-		return llm.NewCluster(&sim, opts.Node, opts.Model, states, llm.DefaultEngineConfig())
-	})
-	var rig *overloadRig
-	if opts.Overload != nil {
-		budgets, bias := opts.overloadBudgets()
-		rig, err = rigOverload(&sim, opts.Overload, sched, budgets, bias,
-			rejectSink(coll.Abandon, pool.Release))
-		if err != nil {
-			return nil, err
+		if opts.Overload != nil {
+			// Each tenant's budgets come from its own SLOs; the tier bias
+			// makes bronze shed first and gold last.
+			s.budgets = append(s.budgets, opts.Overload.budget(tc.SLOSearch, s.SLOGen))
+			s.bias = append(s.bias, tc.Tier.BrownoutBias())
 		}
 	}
-	builders := []serve.Builder{serve.Admit(coll)}
-	if sched != nil {
-		builders = append(builders, serve.Scheduled(sched))
+	s.stages = func(sim *des.Sim, _ retrieval.LiveCost) (retr, gen serve.Builder) {
+		// Every tenant's shard bytes stack up on the node's devices,
+		// shrinking the KV pool its LLM instances see.
+		states := gpu.NewStates(opts.Node)
+		applyShards(states, d.plans...)
+		retr = serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
+			// The shared config carries no Workload or CPUModel: the engine
+			// prices every stage per tenant slot.
+			return retrieval.NewHybrid(retrieval.Config{
+				Sim:      sim,
+				Forward:  forward,
+				MaxBatch: opts.MaxBatch,
+				NVMe:     opts.Node.NVMe,
+			}, slots, states, gm)
+		})
+		gen = serve.GenerationStage(func() (*llm.Cluster, error) {
+			return llm.NewCluster(sim, opts.Node, opts.Model, states, llm.DefaultEngineConfig())
+		})
+		return retr, gen
 	}
-	builders = append(builders, retr, gen)
-	terminal := teeObserve(rig, coll.Done, pool.Release)
-	pipe, err := serve.Compose(&sim, terminal, builders...)
+	c, err := compose(&s, &des.Sim{})
 	if err != nil {
 		return nil, err
 	}
-	if sched != nil {
-		// The scheduler meters the TTFT-relevant section — retrieval
-		// queue, search, LLM wait, prefill — releasing the slot at first
-		// token rather than at completion: decode proceeds concurrently
-		// for many requests inside the LLM and must not hold admission
-		// slots, while anything queued beyond the bound would sit in
-		// downstream FIFO queues where tier priority cannot act. The
-		// completion sink installed by Compose is re-installed unchanged.
-		pipe.Generation().Cluster.SetCallbacks(sched.Release, terminal)
-	}
 
-	sec := beginServeSection()
-	for i, tc := range opts.Tenants {
-		seed := opts.Seed + 7 + 13*uint64(i)
-		var arr *serve.Arrivals
-		if tc.RateSchedule != nil {
-			arr = serve.NewScheduledArrivals(tc.W, tc.RateSchedule, opts.Shape, seed)
-		} else {
-			arr = serve.NewArrivals(tc.W, tc.Rate, opts.Shape, seed)
-		}
-		arr.SetTenant(i)
-		arr.SetPool(pool)
-		arr.Start(&sim, des.Time(opts.Duration), pipe.Submit)
-	}
-	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
-	wall, allocs, bytes := sec.end()
-
-	// Per-tenant summaries against each tenant's own combined SLO.
-	// Records partition by tenant in arrival order, preserving the
-	// aggregation order of the pre-record implementation bit for bit.
-	all := coll.Requests()
-	byTenant := make([][]workload.Request, len(opts.Tenants))
-	for _, req := range all {
-		t := req.Tenant
-		if t < 0 || t >= len(byTenant) {
-			t = 0
-		}
-		byTenant[t] = append(byTenant[t], req)
-	}
 	res := &MultiTenantResult{
-		ServeWall: wall, ServeAllocs: allocs, ServeBytes: bytes,
+		Tenants:     c.tenants,
+		Fairness:    c.fairness,
+		Attainment:  c.attainment,
+		RecallGain:  c.RecallGain,
 		Mu0:         d.mu0,
 		MuLLM:       d.alloc.MuLLM,
 		BudgetBytes: d.alloc.BudgetBytes,
 		UsedBytes:   d.alloc.UsedBytes,
+		AvgBatch:    c.AvgBatch,
+		LLMGPUs:     c.LLMGPUs,
 		SharedQueue: opts.SharedQueue,
-		Generated:   coll.Admitted(),
-		Requests:    all,
-		AvgBatch:    pipe.Retrieval().AvgBatch(),
-		LLMGPUs:     pipe.Generation().GPUs(opts.Model.TP),
+		Generated:   c.Generated,
+		Requests:    c.Requests,
+		ServeWall:   c.ServeWall, ServeAllocs: c.ServeAllocs, ServeBytes: c.ServeBytes,
+		Overload: c.Overload,
 	}
-	if g, ok := pipe.Retrieval().Engine.(retrieval.RecallReporter); ok {
-		res.RecallGain = g.RecallGain()
+	for i := range res.Tenants {
+		res.Tenants[i].Alloc = d.alloc.Allocations[i]
 	}
-	atts := make([]float64, len(opts.Tenants))
-	var okWeighted float64
-	var total int
-	for i, tc := range opts.Tenants {
-		sum := metrics.Summarize(byTenant[i], slos[i], des.Time(opts.Warmup))
-		tr := TenantResult{
-			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate,
-			SLOTotal: slos[i], Alloc: d.alloc.Allocations[i], Summary: sum,
+	if c.NetDelay > 0 { // the sharded exchange echoes its execution configuration
+		res.Replicas, res.Workers, res.NetDelay = replicas, c.Workers, c.NetDelay
+		for _, rr := range c.PerReplica {
+			res.PerReplicaSubmitted = append(res.PerReplicaSubmitted, rr.Submitted)
 		}
-		if sched != nil {
-			tr.PeakQueue = sched.PeakQueue(i)
-			if rig != nil {
-				tr.Rejected = sched.Rejected(i)
-			}
-		}
-		res.Tenants = append(res.Tenants, tr)
-		atts[i] = sum.Attainment
-		okWeighted += sum.Attainment * float64(sum.N)
-		total += sum.N
-	}
-	res.Fairness = metrics.JainIndex(atts)
-	if total > 0 {
-		res.Attainment = okWeighted / float64(total)
-	}
-	if rig != nil {
-		res.Overload = rig.report(opts.Overload, len(opts.Tenants),
-			des.Time(opts.Duration+opts.Drain), opts.Duration+opts.Drain)
 	}
 	return res, nil
 }

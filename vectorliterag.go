@@ -345,8 +345,9 @@ type ServeOptions struct {
 	// Overload, when non-nil, meters the pipeline through a bounded
 	// admission queue and (with Brownout set) the quality-shedding
 	// controller — the single-tenant form of overload control, using
-	// the run's own stage SLOs as latency budgets. Nil keeps the
-	// unmetered pipeline bit for bit.
+	// the run's own stage SLOs as latency budgets. ServeCluster gives
+	// each replica its own; faults refuse it. Nil keeps the unmetered
+	// pipeline bit for bit.
 	Overload *OverloadOptions
 	Seed     uint64
 
@@ -433,7 +434,17 @@ func Serve(opts ServeOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
+	rep := report(res, 0)
+	return &rep, nil
+}
+
+// report translates a run result into the public report, with the
+// timeline at the given resolution (zero or negative: the default).
+func report(res *rag.Result, bucket time.Duration) Report {
+	if bucket <= 0 {
+		bucket = defaultTimelineBucket
+	}
+	return Report{
 		Summary:      res.Summary,
 		SLOTotal:     res.SLOTotal,
 		Rho:          res.Rho,
@@ -442,9 +453,9 @@ func Serve(opts ServeOptions) (*Report, error) {
 		RecallGain:   res.RecallGain,
 		SQClusters:   res.SQClusters,
 		NVMeClusters: res.NVMeClusters,
-		Timeline:     metrics.Timeline(res.Requests, res.SLOTotal, defaultTimelineBucket),
+		Timeline:     metrics.Timeline(res.Requests, res.SLOTotal, bucket),
 		Overload:     res.Overload,
-	}, nil
+	}
 }
 
 // AdaptiveServeOptions configures an adaptive vLiteRAG serving run:
@@ -488,19 +499,8 @@ func ServeAdaptive(opts AdaptiveServeOptions) (*AdaptiveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	bucket := opts.TimelineBucket
-	if bucket <= 0 {
-		bucket = defaultTimelineBucket
-	}
 	return &AdaptiveReport{
-		Report: Report{
-			Summary:  res.Summary,
-			SLOTotal: res.SLOTotal,
-			Rho:      res.Rho,
-			AvgBatch: res.AvgBatch,
-			Mu0:      res.Mu0,
-			Timeline: metrics.Timeline(res.Requests, res.SLOTotal, bucket),
-		},
+		Report:          report(&res.Result, opts.TimelineBucket),
 		ExpectedHitRate: res.ExpectedHitRate,
 		Rebuilds:        res.Rebuilds,
 		Pending:         res.Pending,
@@ -603,17 +603,8 @@ func ServeLive(opts LiveServeOptions) (*LiveReport, error) {
 	if bucket <= 0 {
 		bucket = defaultTimelineBucket
 	}
-	wins := metrics.Timeline(res.Requests, res.SLOTotal, bucket)
-	metrics.AnnotateFreshness(wins, res.Mutations, res.FreshnessSLO, bucket)
-	return &LiveReport{
-		Report: Report{
-			Summary:  res.Summary,
-			SLOTotal: res.SLOTotal,
-			Rho:      res.Rho,
-			AvgBatch: res.AvgBatch,
-			Mu0:      res.Mu0,
-			Timeline: wins,
-		},
+	rep := &LiveReport{
+		Report:        report(&res.Result, bucket),
 		Freshness:     res.Freshness,
 		FreshnessSLO:  res.FreshnessSLO,
 		Mutations:     len(res.Mutations),
@@ -622,7 +613,9 @@ func ServeLive(opts LiveServeOptions) (*LiveReport, error) {
 		SizeSkew:      res.SizeSkew,
 		ResidualRatio: res.ResidualRatio,
 		Rebuilds:      res.Rebuilds,
-	}, nil
+	}
+	metrics.AnnotateFreshness(rep.Timeline, res.Mutations, res.FreshnessSLO, bucket)
+	return rep, nil
 }
 
 // ClusterOptions configures a multi-replica serving run: N identical
@@ -694,14 +687,7 @@ func ServeCluster(opts ClusterOptions) (*ClusterReport, error) {
 		return nil, err
 	}
 	rep := &ClusterReport{
-		Report: Report{
-			Summary:  res.Summary,
-			SLOTotal: res.SLOTotal,
-			Rho:      res.Rho,
-			AvgBatch: res.AvgBatch,
-			Mu0:      res.Mu0,
-			Timeline: metrics.Timeline(res.Requests, res.SLOTotal, defaultTimelineBucket),
-		},
+		Report:     report(&res.Result, 0),
 		Policy:     res.Policy,
 		Workers:    res.Workers,
 		NetDelay:   res.NetDelay,

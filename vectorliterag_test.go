@@ -123,6 +123,33 @@ func TestServeCluster(t *testing.T) {
 	}
 }
 
+// TestServeClusterPrecision: a cluster run reports the precision
+// refinement's outcome — the chosen SQ8 clusters and the served recall
+// gain — with and without a failure storm.
+func TestServeClusterPrecision(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	for _, faults := range []string{"", "crash@5s:r0:5s"} {
+		rep, err := vlr.ServeCluster(vlr.ClusterOptions{
+			ServeOptions: vlr.ServeOptions{
+				Workload: w, System: vlr.VLiteRAG, Rate: 40, Seed: 1,
+				Duration: 30 * time.Second, Precision: &vlr.PrecisionOptions{},
+			},
+			Replicas: 2,
+			Faults:   faults,
+		})
+		if err != nil {
+			t.Fatalf("faults %q: %v", faults, err)
+		}
+		if rep.SQClusters <= 0 || rep.RecallGain <= 0 {
+			t.Fatalf("faults %q: %d SQ8 clusters, recall gain %v; want both positive",
+				faults, rep.SQClusters, rep.RecallGain)
+		}
+		if (faults != "") != (rep.Resilience != nil) {
+			t.Fatalf("faults %q: resilience report %v", faults, rep.Resilience)
+		}
+	}
+}
+
 func TestServeDefaultsToVLiteRAG(t *testing.T) {
 	w := smallWorkload(t, vlr.WikiAll)
 	rep, err := vlr.Serve(vlr.ServeOptions{Workload: w, Rate: 10, Duration: 30 * time.Second})
