@@ -274,7 +274,6 @@ func compose(s *servingSpec, sim *des.Sim) (*composed, error) {
 		}
 	}
 	for i := range nodes {
-		i := i
 		switch front {
 		case frontNode:
 			nodes[i], err = s.buildNode(sim, nil, coll, pool.Release)
